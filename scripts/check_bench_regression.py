@@ -6,7 +6,9 @@ the protocol trace (the "req_*" keys in BENCH_*.json) against checked-in
 baselines under bench/baselines/.  Request counts are deterministic -- unlike
 timings -- so any growth is a real change in server traffic, and growth
 beyond the threshold fails the build (Section 3.3's efficiency claims,
-enforced).
+enforced).  Baseline keys named "exact_*" must match exactly, in either
+direction.  The scaling ceilings below cap how much slower an operation may
+get in a larger session.
 
 Usage: check_bench_regression.py <results-dir> [--threshold 0.10]
 """
@@ -35,10 +37,14 @@ BASELINES = {
     # replayed-request total is growth-checked so journal replay cannot
     # silently start re-asserting more traffic per session.
     "reconnect_storm.json": "BENCH_reconnect.json",
-    # Bytecode-VM acceptance workloads: the req_tcl_* keys are exact command
-    # and compile counts for fixed scripts (deterministic, machine
-    # independent), and the MIN_EXEC_SPEEDUPS floors below additionally gate
-    # the compiled-over-cached throughput ratios.
+    # Bytecode-VM acceptance workloads: the req_tcl_* keys are command counts
+    # for fixed scripts, and the exact_tcl_* keys pin the compiled path
+    # itself -- the inline commands, generic invokes and text-engine
+    # expressions in the hot loop's bytecode, and the compiled run's evals
+    # and compiled evals, both pinned to the same count so every eval must
+    # have run on the VM.  These replace wall-clock speedup floors, which
+    # host noise pushed below their minimum on unchanged code; the benches
+    # still print the speedups.
     "parser_throughput.json": "BENCH_parser_throughput.json",
     "bind_dispatch.json": "BENCH_bind_dispatch.json",
     # Editor workload over the B-tree text widget: the req_text_* keys are
@@ -61,6 +67,12 @@ def check(baseline_path, results_path, threshold):
             failures.append(f"{key}: missing from {results_path.name} "
                             f"(baseline {expected})")
             continue
+        if key.startswith("exact_"):
+            marker = "ok" if actual == expected else "FAIL"
+            print(f"  {marker:4} {key}: {expected} -> {actual} (exact)")
+            if actual != expected:
+                failures.append(f"{key}: {expected} -> {actual} (must match exactly)")
+            continue
         if expected == 0:
             if actual != 0:
                 failures.append(f"{key}: {expected} -> {actual} (was zero)")
@@ -79,7 +91,7 @@ def check(baseline_path, results_path, threshold):
     for key in new_keys:
         print(f"  note {key}: {results[key]} (not in baseline; add it there)")
     failures += check_pipeline_ratios(results)
-    failures += check_exec_mode_floors(results_path.name, results)
+    failures += check_compiled_path(results)
     return failures
 
 
@@ -111,52 +123,54 @@ def check_pipeline_ratios(results):
     return failures
 
 
-# Bytecode-VM speedup floors: BENCH file -> (ratio key, minimum).  The
-# compiled exec mode has to keep beating the tree-walker + eval cache by
-# these margins on the acceptance workloads; falling below means the VM's
-# fast paths stopped being taken (e.g. a new builtin guard or a compile
-# bail-out on the hot script), which is a performance regression even though
-# every conformance test still passes.
-MIN_EXEC_SPEEDUPS = {
-    "BENCH_parser_throughput.json": ("speedup_compiled_vs_cached", 5.0),
-    "BENCH_bind_dispatch.json": ("speedup_compiled_vs_cached", 2.0),
-}
-
-# Scaling ceilings: BENCH file -> (ratio key, maximum).  The inverse of the
-# speedup floors: these ratios compare the same operation at two workload
-# sizes, and the data structure behind it (the text widget's B-tree) only
-# holds its O(log n) promise while the ratio stays far from linear -- a
-# 1000x buffer may cost each edit at most this factor.  Generous enough for
-# machine noise, three orders of magnitude under the linear failure mode.
+# Scaling ceilings: BENCH file -> [(ratio key, maximum)].  Each ratio
+# compares the same operation at two workload sizes; the data structure
+# behind it holds its promise only while the ratio stays far from linear.
 MAX_SCALING_RATIOS = {
-    "BENCH_text.json": ("edit_scaling_1M_vs_1k", 8.0),
+    # The text widget's B-tree: one edit in a 1M-line buffer against one in a
+    # 1k-line buffer (1000x the lines).  Generous enough for machine noise,
+    # three orders of magnitude under the linear failure mode.
+    "BENCH_text.json": [("edit_scaling_1M_vs_1k", 8.0)],
+    # bench/scaling_sweep: one operation's cost next to 10k existing windows
+    # or widgets over its cost next to 100, the median of interleaved
+    # repeats.  A flat cost reads about 1x and a linear one 50x or more.  The
+    # ceiling is 2x unless the entry gives a measured reason for more, and
+    # no ceiling exceeds 5x.
+    "BENCH_scaling.json": [
+        # A create+destroy walks the server's window map about six times
+        # (lookups, insert, erase), 7 -> 14 levels deep, and the 10k
+        # session's window records no longer fit in cache: a probe of
+        # create+destroy alone read 0.43 / 0.46 / 0.54 / 1.38 us at 100 / 1k /
+        # 10k / 100k windows, and 21 sweep runs read 1.49-1.79x.  A per-op
+        # scan of the session reads ~200x.
+        ("scaling_direct_create_destroy", 3.0),
+        ("scaling_direct_reparent", 2.0),
+        ("scaling_direct_configure", 2.0),
+        ("scaling_direct_map_unmap", 2.0),
+        ("scaling_direct_raise", 2.0),
+        ("scaling_direct_property", 2.0),
+        ("scaling_direct_get_property", 2.0),
+        ("scaling_wire_create_destroy", 2.0),
+        ("scaling_wire_reparent", 2.0),
+        ("scaling_wire_configure", 2.0),
+        ("scaling_wire_map_unmap", 2.0),
+        ("scaling_wire_raise", 2.0),
+        ("scaling_wire_property", 2.0),
+        ("scaling_wire_get_property", 2.0),
+        ("scaling_tk_frame_destroy", 2.0),
+        ("scaling_tk_configure", 2.0),
+        ("scaling_tk_winfo_children", 2.0),
+        ("scaling_tk_create_per_widget", 2.0),
+    ],
 }
 
 
-def check_exec_mode_floors(results_name, results):
+def check_compiled_path(results):
     failures = []
-    floor = MIN_EXEC_SPEEDUPS.get(results_name)
-    if floor is not None:
-        key, minimum = floor
-        value = results.get(key)
-        if value is None:
-            failures.append(f"{key}: missing from {results_name}")
-        elif value < minimum:
-            failures.append(f"{key}: {value:.2f}x < required {minimum:.1f}x "
-                            f"(compiled exec mode regression)")
-        else:
-            print(f"  ok   {key}: {value:.2f}x (floor {minimum:.1f}x)")
-    ceiling = MAX_SCALING_RATIOS.get(results_name)
-    if ceiling is not None:
-        key, maximum = ceiling
-        value = results.get(key)
-        if value is None:
-            failures.append(f"{key}: missing from {results_name}")
-        elif value > maximum:
-            failures.append(f"{key}: {value:.2f}x > allowed {maximum:.1f}x "
-                            f"(per-edit cost no longer independent of buffer size)")
-        else:
-            print(f"  ok   {key}: {value:.2f}x (ceiling {maximum:.1f}x)")
+    # The wall-clock speedup is reported for the record, never gated.
+    speedup = results.get("speedup_compiled_vs_cached")
+    if speedup is not None:
+        print(f"  info speedup_compiled_vs_cached: {speedup:.2f}x (reported, not gated)")
     # cmdcount parity: both exec modes run the same script, so their command
     # counters must be identical, not merely close.
     interp_cmds = results.get("req_tcl_interp_commands")
@@ -165,6 +179,20 @@ def check_exec_mode_floors(results_name, results):
             and interp_cmds != compiled_cmds:
         failures.append(f"req_tcl_compiled_commands: {compiled_cmds} != "
                         f"req_tcl_interp_commands {interp_cmds} (cmdcount parity)")
+    return failures
+
+
+def check_scaling(results_name, results):
+    failures = []
+    for key, maximum in MAX_SCALING_RATIOS[results_name]:
+        value = results.get(key)
+        if value is None:
+            failures.append(f"{key}: missing from {results_name}")
+        elif value > maximum:
+            failures.append(f"{key}: {value:.2f}x > allowed {maximum:.1f}x "
+                            f"(per-operation cost grows with the session)")
+        else:
+            print(f"  ok   {key}: {value:.2f}x (ceiling {maximum:.1f}x)")
     return failures
 
 
@@ -191,6 +219,13 @@ def main():
         print(f"{results_name} vs baselines/{baseline_name}:")
         failures += check(baseline_path, results_path, args.threshold)
         checked += 1
+    for results_name in MAX_SCALING_RATIOS:
+        results_path = args.results_dir / results_name
+        if not results_path.exists():
+            failures.append(f"{results_name}: not produced (expected in {args.results_dir})")
+            continue
+        print(f"{results_name} scaling ceilings:")
+        failures += check_scaling(results_name, json.loads(results_path.read_text()))
 
     if failures:
         print("\nTraffic regressions:", file=sys.stderr)

@@ -105,15 +105,13 @@ bool App::DestroyWidget(std::string_view path) {
   if (FindWidget(path) == nullptr) {
     return false;
   }
-  // Collect the subtree (path itself plus everything under "path.").
-  std::string prefix = std::string(path);
-  if (prefix != ".") {
-    prefix += ".";
-  }
-  std::vector<std::string> doomed;
-  for (const auto& [widget_path, widget] : widgets_) {
-    if (widget_path == path || widget_path.rfind(prefix, 0) == 0) {
-      doomed.push_back(widget_path);
+  // Collect the subtree: the path itself plus its descendants, which are
+  // the range ["path.", "path/") of the ordered registry ('/' follows '.').
+  std::vector<std::string> doomed{std::string(path)};
+  auto [first, last] = SubtreeRange(path);
+  for (auto it = first; it != last; ++it) {
+    if (it->first != path) {
+      doomed.push_back(it->first);
     }
   }
   std::sort(doomed.begin(), doomed.end(), [](const std::string& a, const std::string& b) {
@@ -132,12 +130,13 @@ bool App::DestroyWidget(std::string_view path) {
     bindings_->RemoveTag(widget_path);
     interp_->DeleteCommand(widget_path);
     window_to_widget_.erase(widget->window());
-    redraw_queue_.erase(
-        std::remove_if(redraw_queue_.begin(), redraw_queue_.end(),
-                       [widget](const DamageEntry& entry) { return entry.widget == widget; }),
-        redraw_queue_.end());
-    repack_queue_.erase(std::remove(repack_queue_.begin(), repack_queue_.end(), widget),
-                        repack_queue_.end());
+    // Leave a hole in each queue the widget sits in; the idle pass skips it.
+    if (widget->redraw_slot_ != 0) {
+      redraw_queue_[widget->redraw_slot_ - 1].widget = nullptr;
+    }
+    if (widget->repack_slot_ != 0) {
+      repack_queue_[widget->repack_slot_ - 1] = nullptr;
+    }
     widgets_.erase(widget_path);
   }
   return true;
@@ -153,18 +152,29 @@ std::vector<std::string> App::WidgetPaths() const {
 }
 
 std::vector<std::string> App::ChildPaths(std::string_view path) const {
-  std::string prefix = std::string(path);
-  if (prefix != ".") {
-    prefix += ".";
-  }
+  const size_t prefix_size = path == "." ? 1 : path.size() + 1;
   std::vector<std::string> children;
-  for (const auto& [widget_path, widget] : widgets_) {
-    if (widget_path.size() > prefix.size() && widget_path.rfind(prefix, 0) == 0 &&
-        widget_path.find('.', prefix.size()) == std::string::npos && widget_path != path) {
+  auto [first, last] = SubtreeRange(path);
+  for (auto it = first; it != last; ++it) {
+    const std::string& widget_path = it->first;
+    if (widget_path.size() > prefix_size &&
+        widget_path.find('.', prefix_size) == std::string::npos) {
       children.push_back(widget_path);
     }
   }
   return children;
+}
+
+App::WidgetRange App::SubtreeRange(std::string_view path) const {
+  // Every descendant of "path" starts with "path." and sorts before "path/".
+  // The root's descendants are every other path.
+  std::string prefix(path);
+  if (prefix != ".") {
+    prefix += ".";
+  }
+  std::string end = prefix;
+  end.back() = '/';
+  return {widgets_.lower_bound(prefix), widgets_.lower_bound(end)};
 }
 
 // ---------------------------------------------------------------------------
@@ -240,19 +250,18 @@ bool App::DoOneEvent() {
     DispatchEvent(event);
     return true;
   }
-  // Timers that have come due.
-  auto now = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < timers_.size(); ++i) {
-    if (timers_[i].due <= now) {
-      std::function<void()> callback = std::move(timers_[i].callback);
-      timers_.erase(timers_.begin() + i);
-      ++loop_stats_.timers_fired;
-      callback();
-      return true;
-    }
+  // The earliest timer, if it has come due (ties fire in creation order).
+  if (!timers_.empty() && timers_.begin()->first.first <= std::chrono::steady_clock::now()) {
+    auto timer = timers_.begin();
+    std::function<void()> callback = std::move(timer->second);
+    timer_due_.erase(timer->first.second);
+    timers_.erase(timer);
+    ++loop_stats_.timers_fired;
+    callback();
+    return true;
   }
   // Idle work: layout, redraw, when-idle handlers.
-  if (!repack_queue_.empty() || !redraw_queue_.empty() || !idle_.empty()) {
+  if (repack_head_ < repack_queue_.size() || !redraw_queue_.empty() || !idle_.empty()) {
     ProcessIdle();
     return true;
   }
@@ -271,16 +280,32 @@ void App::ProcessIdle() {
   // Layout first (it may move/resize windows and trigger redraws), then
   // paint, then generic idle callbacks.
   int guard = 0;
-  while (!repack_queue_.empty() && guard++ < 1000) {
-    Widget* parent = repack_queue_.front();
-    repack_queue_.erase(repack_queue_.begin());
+  while (repack_head_ < repack_queue_.size() && guard < 1000) {
+    Widget* parent = repack_queue_[repack_head_++];
+    if (parent == nullptr) {
+      continue;  // Destroyed while queued.
+    }
+    ++guard;
+    parent->repack_slot_ = 0;
     packer_->Arrange(parent);
     placer_->Arrange(parent);
     ++loop_stats_.repacks_done;
   }
+  if (repack_head_ == repack_queue_.size()) {
+    repack_queue_.clear();
+    repack_head_ = 0;
+  }
   std::vector<DamageEntry> to_draw;
   to_draw.swap(redraw_queue_);
   for (const DamageEntry& damage : to_draw) {
+    if (damage.widget != nullptr) {
+      damage.widget->redraw_slot_ = 0;
+    }
+  }
+  for (const DamageEntry& damage : to_draw) {
+    if (damage.widget == nullptr) {
+      continue;  // Destroyed while queued.
+    }
     xsim::Rect area = damage.full
                           ? xsim::Rect{0, 0, damage.widget->width(), damage.widget->height()}
                           : damage.area;
@@ -299,18 +324,20 @@ void App::ProcessIdle() {
 }
 
 uint64_t App::CreateTimerMs(int64_t ms, std::function<void()> callback) {
-  TimerHandler handler;
-  handler.id = next_timer_id_++;
-  handler.due = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  handler.callback = std::move(callback);
-  timers_.push_back(std::move(handler));
-  return timers_.back().id;
+  const uint64_t id = next_timer_id_++;
+  const auto due = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  timers_.emplace(std::make_pair(due, id), std::move(callback));
+  timer_due_.emplace(id, due);
+  return id;
 }
 
 void App::DeleteTimer(uint64_t id) {
-  timers_.erase(std::remove_if(timers_.begin(), timers_.end(),
-                               [id](const TimerHandler& t) { return t.id == id; }),
-                timers_.end());
+  auto it = timer_due_.find(id);
+  if (it == timer_due_.end()) {
+    return;
+  }
+  timers_.erase({it->second, id});
+  timer_due_.erase(it);
 }
 
 void App::DoWhenIdle(std::function<void()> callback) { idle_.push_back(std::move(callback)); }
@@ -345,10 +372,8 @@ bool App::WaitFor(const std::function<bool()>& done, int64_t timeout_ms) {
     // burning the CPU.
     auto wake = now + std::chrono::milliseconds(1);
     for (App* app : MutableAppRegistry()) {
-      for (const TimerHandler& timer : app->timers_) {
-        if (timer.due < wake) {
-          wake = timer.due;
-        }
+      if (!app->timers_.empty() && app->timers_.begin()->first.first < wake) {
+        wake = app->timers_.begin()->first.first;
       }
     }
     if (wake > deadline) {
@@ -383,13 +408,13 @@ void App::ScheduleRedraw(Widget* widget) {
   if (closing_) {
     return;
   }
-  for (DamageEntry& entry : redraw_queue_) {
-    if (entry.widget == widget) {
-      entry.full = true;  // Whole-window damage subsumes any partial rects.
-      return;
-    }
+  if (widget->redraw_slot_ != 0) {
+    // Whole-window damage subsumes any partial rects.
+    redraw_queue_[widget->redraw_slot_ - 1].full = true;
+    return;
   }
   redraw_queue_.push_back(DamageEntry{widget, xsim::Rect{}, true});
+  widget->redraw_slot_ = redraw_queue_.size();
 }
 
 void App::ScheduleRedraw(Widget* widget, const xsim::Rect& area) {
@@ -399,24 +424,23 @@ void App::ScheduleRedraw(Widget* widget, const xsim::Rect& area) {
   if (area.Empty()) {
     return;
   }
-  for (DamageEntry& entry : redraw_queue_) {
-    if (entry.widget == widget) {
-      if (!entry.full) {
-        entry.area = entry.area.Union(area);
-      }
-      return;
+  if (widget->redraw_slot_ != 0) {
+    DamageEntry& entry = redraw_queue_[widget->redraw_slot_ - 1];
+    if (!entry.full) {
+      entry.area = entry.area.Union(area);
     }
+    return;
   }
   redraw_queue_.push_back(DamageEntry{widget, area, false});
+  widget->redraw_slot_ = redraw_queue_.size();
 }
 
 void App::ScheduleRepack(Widget* parent) {
-  if (closing_) {
+  if (closing_ || parent->repack_slot_ != 0) {
     return;
   }
-  if (std::find(repack_queue_.begin(), repack_queue_.end(), parent) == repack_queue_.end()) {
-    repack_queue_.push_back(parent);
-  }
+  repack_queue_.push_back(parent);
+  parent->repack_slot_ = repack_queue_.size();
 }
 
 }  // namespace tk

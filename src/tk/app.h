@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tcl/interp.h"
@@ -32,13 +33,6 @@ class Packer;
 class Placer;
 class SendChannel;
 class SelectionManager;
-
-// A scheduled `after` timer.
-struct TimerHandler {
-  uint64_t id = 0;
-  std::chrono::steady_clock::time_point due;
-  std::function<void()> callback;
-};
 
 // Event-loop observability: where the loop's time goes and how much work each
 // kind of handler did.  Read from Tcl via `info latency`; reset with
@@ -118,7 +112,7 @@ class App {
   // Destroys `path` and its whole subtree (deepest first).
   bool DestroyWidget(std::string_view path);
   std::vector<std::string> WidgetPaths() const;
-  // Children paths of `path`, in creation order.
+  // Children paths of `path`, in path order.
   std::vector<std::string> ChildPaths(std::string_view path) const;
 
   // --- Event loop (Section 3.2) -------------------------------------------------
@@ -209,6 +203,12 @@ class App {
     bool full = false;
   };
 
+  using WidgetMap = std::map<std::string, std::unique_ptr<Widget>, std::less<>>;
+  using WidgetRange = std::pair<WidgetMap::const_iterator, WidgetMap::const_iterator>;
+
+  // The registry entries that descend from `path` (plus `path` itself when
+  // it is "."), so subtree walks cost the subtree, not the registry.
+  WidgetRange SubtreeRange(std::string_view path) const;
   void RegisterCommands();
   void ProcessIdle();
   // Installed as the display's reconnect handler: full redraw of the tree.
@@ -220,7 +220,7 @@ class App {
   std::unique_ptr<xsim::Display> display_;
   std::string name_;
 
-  std::map<std::string, std::unique_ptr<Widget>, std::less<>> widgets_;
+  WidgetMap widgets_;
   std::map<xsim::WindowId, Widget*> window_to_widget_;
 
   std::unique_ptr<ResourceCache> resources_;
@@ -231,11 +231,20 @@ class App {
   std::unique_ptr<SendChannel> send_;
   std::unique_ptr<SelectionManager> selection_;
 
-  std::vector<TimerHandler> timers_;
+  // Pending `after` timers in firing order: due time, then id (creation
+  // order).  timer_due_ finds a timer's key for DeleteTimer.
+  using TimerKey = std::pair<std::chrono::steady_clock::time_point, uint64_t>;
+  std::map<TimerKey, std::function<void()>> timers_;
+  std::map<uint64_t, std::chrono::steady_clock::time_point> timer_due_;
   uint64_t next_timer_id_ = 1;
   std::deque<std::function<void()>> idle_;
+  // The idle queues, in scheduling order.  Each queued widget records its
+  // entry's position (Widget::redraw_slot_ / repack_slot_), so scheduling
+  // dedups in O(1) and a destroy nulls the entry out in place.  The repack
+  // queue is consumed from repack_head_ and cleared once drained.
   std::vector<DamageEntry> redraw_queue_;
   std::vector<Widget*> repack_queue_;
+  size_t repack_head_ = 0;
   std::map<std::string, std::string> wm_titles_;  // Per-toplevel `wm title`.
   bool closing_ = false;
   uint64_t background_errors_ = 0;

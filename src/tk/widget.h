@@ -186,6 +186,12 @@ class Widget {
   GeometryManager* manager_ = nullptr;
   std::vector<OptionSpec> specs_;
   std::vector<bool> explicitly_set_;
+
+  // Position + 1 of this widget's entry in the App's redraw / repack queue;
+  // 0 while not queued.
+  size_t redraw_slot_ = 0;
+  size_t repack_slot_ = 0;
+  friend class App;
 };
 
 // Abstract geometry manager (Section 3.4): Tk routes widget size requests to

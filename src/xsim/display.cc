@@ -247,7 +247,11 @@ bool Display::Enqueue(Request&& request) {
     }
   }
   request.sequence = ++next_sequence_;
-  journal_.Note(request);
+  // Only a transport that can reconnect replays the journal, so only it
+  // keeps one: the direct transport never reconnects (see Reconnect).
+  if (kind_ != wire::TransportKind::kDirect) {
+    journal_.Note(request);
+  }
   if (synchronous_) {
     bool ok = transport_->SendRequestSync(request);
     if (!ok && transport_->io_error() && HandleIOError()) {

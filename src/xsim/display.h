@@ -149,6 +149,8 @@ class Display {
   uint64_t resumes() const { return resumes_; }
   uint64_t replayed_requests() const { return replayed_requests_; }
   const char* last_disconnect_reason() const { return last_disconnect_reason_; }
+  // The session journal replayed by Reconnect.  Only the wire transport
+  // journals; on the direct transport it stays empty.
   const SessionJournal& journal() const { return journal_; }
 
   // Backoff tuning (tests dial these down; the jitter is a deterministic

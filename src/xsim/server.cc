@@ -888,18 +888,42 @@ WindowId Server::CreateWindow(ClientId client, WindowId parent, int x, int y, in
   rec->owner = client;
   rec->geometry = Rect{x, y, std::max(1, width), std::max(1, height)};
   rec->border_width = border_width;
+  LinkOnTop(parent_rec, rec.get());
   windows_[id] = std::move(rec);
-  parent_rec->children.push_back(id);
   return id;
 }
 
+void Server::LinkOnTop(WindowRec* parent, WindowRec* rec) {
+  rec->prev_sibling = parent->last_child;
+  rec->next_sibling = nullptr;
+  if (parent->last_child != nullptr) {
+    parent->last_child->next_sibling = rec;
+  } else {
+    parent->first_child = rec;
+  }
+  parent->last_child = rec;
+}
+
+void Server::Unlink(WindowRec* parent, WindowRec* rec) {
+  if (rec->prev_sibling != nullptr) {
+    rec->prev_sibling->next_sibling = rec->next_sibling;
+  } else {
+    parent->first_child = rec->next_sibling;
+  }
+  if (rec->next_sibling != nullptr) {
+    rec->next_sibling->prev_sibling = rec->prev_sibling;
+  } else {
+    parent->last_child = rec->prev_sibling;
+  }
+  rec->prev_sibling = nullptr;
+  rec->next_sibling = nullptr;
+}
+
 void Server::DestroyWindowInternal(WindowRec* rec) {
-  // Children first, depth-first (X destroys subtrees bottom-up).
-  std::vector<WindowId> children = rec->children;
-  for (WindowId child : children) {
-    if (WindowRec* child_rec = FindWindow(child)) {
-      DestroyWindowInternal(child_rec);
-    }
+  // Children first, bottom to top, depth-first (X destroys subtrees
+  // bottom-up); each destroy unlinks the child, so the bottom one is next.
+  while (rec->first_child != nullptr) {
+    DestroyWindowInternal(rec->first_child);
   }
   Event event;
   event.type = EventType::kDestroyNotify;
@@ -907,9 +931,7 @@ void Server::DestroyWindowInternal(WindowRec* rec) {
   event.time = Tick();
   Deliver(rec->id, event, kStructureNotifyMask);
   if (WindowRec* parent = FindWindow(rec->parent)) {
-    parent->children.erase(std::remove(parent->children.begin(), parent->children.end(),
-                                       rec->id),
-                           parent->children.end());
+    Unlink(parent, rec);
     Deliver(parent->id, event, kSubstructureNotifyMask);
   }
   // Release selections owned via this window.
@@ -971,9 +993,10 @@ bool Server::MapWindow(ClientId client, WindowId window) {
     PaintBackground(*rec);
     GenerateExpose(window);
     // Mapping may reveal already-mapped children.
-    for (WindowId child : rec->children) {
-      if (IsViewable(child)) {
-        GenerateExpose(child);
+    for (const WindowRec* child = rec->first_child; child != nullptr;
+         child = child->next_sibling) {
+      if (IsViewable(child->id)) {
+        GenerateExpose(child->id);
       }
     }
   }
@@ -1070,11 +1093,8 @@ bool Server::RaiseWindow(ClientId client, WindowId window) {
   if (parent == nullptr) {
     return true;
   }
-  auto it = std::find(parent->children.begin(), parent->children.end(), window);
-  if (it != parent->children.end()) {
-    parent->children.erase(it);
-    parent->children.push_back(window);
-  }
+  Unlink(parent, rec);
+  LinkOnTop(parent, rec);
   if (IsViewable(window)) {
     GenerateExpose(window);
   }
@@ -1109,15 +1129,12 @@ bool Server::ReparentWindow(ClientId client, WindowId window, WindowId new_paren
     ancestor = walk == nullptr ? kNone : walk->parent;
   }
   if (WindowRec* old_parent = FindWindow(rec->parent); old_parent != nullptr) {
-    auto it = std::find(old_parent->children.begin(), old_parent->children.end(), window);
-    if (it != old_parent->children.end()) {
-      old_parent->children.erase(it);
-    }
+    Unlink(old_parent, rec);
   }
   rec->parent = new_parent;
   rec->geometry.x = x;
   rec->geometry.y = y;
-  parent->children.push_back(window);  // Reparenting places the window on top.
+  LinkOnTop(parent, rec);  // Reparenting places the window on top.
   ++counters_.configure_window;
   if (IsViewable(window)) {
     GenerateExpose(window);
@@ -1181,8 +1198,14 @@ std::optional<WindowId> Server::WindowParent(WindowId window) const {
 
 std::vector<WindowId> Server::WindowChildren(WindowId window) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  const WindowRec* rec = FindWindow(window);
-  return rec == nullptr ? std::vector<WindowId>() : rec->children;
+  std::vector<WindowId> children;
+  if (const WindowRec* rec = FindWindow(window)) {
+    for (const WindowRec* child = rec->first_child; child != nullptr;
+         child = child->next_sibling) {
+      children.push_back(child->id);
+    }
+  }
+  return children;
 }
 
 bool Server::IsMapped(WindowId window) const {
@@ -1817,9 +1840,9 @@ WindowId Server::WindowAt(int x, int y) const {
   // Descend into the topmost mapped child containing the point.
   while (true) {
     const WindowRec* next = nullptr;
-    for (auto it = current->children.rbegin(); it != current->children.rend(); ++it) {
-      const WindowRec* child = FindWindow(*it);
-      if (child == nullptr || !child->mapped) {
+    for (const WindowRec* child = current->last_child; child != nullptr;
+         child = child->prev_sibling) {
+      if (!child->mapped) {
         continue;
       }
       Rect abs = AbsoluteRect(*child);

@@ -452,7 +452,13 @@ class Server {
     int border_width = 0;
     bool mapped = false;
     Pixel background = 0xffffff;
-    std::vector<WindowId> children;  // Bottom-to-top stacking order.
+    // Children in stacking order, bottom to top, as a doubly-linked sibling
+    // list (the X.org server's firstChild/lastChild/prevSib/nextSib): a
+    // window leaves or restacks without a scan of its siblings.
+    WindowRec* first_child = nullptr;   // Bottom of the stack.
+    WindowRec* last_child = nullptr;    // Top of the stack.
+    WindowRec* prev_sibling = nullptr;  // The sibling just below.
+    WindowRec* next_sibling = nullptr;  // The sibling just above.
     std::map<ClientId, uint32_t> event_masks;
     std::map<Atom, std::string> properties;
     std::vector<TextItem> text_items;
@@ -494,6 +500,9 @@ class Server {
   // coordinates to the delivery window.  Returns the delivery window.
   WindowId DeliverWithPropagation(WindowId window, Event event, uint32_t mask);
 
+  // Stacks `rec` on top of `parent`'s children / takes it out of them.
+  static void LinkOnTop(WindowRec* parent, WindowRec* rec);
+  static void Unlink(WindowRec* parent, WindowRec* rec);
   void DestroyWindowInternal(WindowRec* rec);
   void GenerateExpose(WindowId window);
   // Ancestor chain root->window inclusive.

@@ -8,6 +8,9 @@ void SessionJournal::Note(const Request& request) {
   ++noted_;
   switch (request.op) {
     case RequestOpcode::kCreateWindow: {
+      if (request.resource == request.window) {
+        break;  // The server refuses a window as its own parent.
+      }
       WindowState state;
       state.parent = request.window;
       state.x = request.x;
@@ -15,8 +18,9 @@ void SessionJournal::Note(const Request& request) {
       state.width = request.width;
       state.height = request.height;
       state.border_width = request.border_width;
-      if (windows_.emplace(request.resource, state).second) {
-        window_order_.push_back(request.resource);
+      state.serial = ++next_serial_;
+      if (auto [it, inserted] = windows_.emplace(request.resource, state); inserted) {
+        LinkChild(request.resource, it->second);
       }
       break;
     }
@@ -35,18 +39,19 @@ void SessionJournal::Note(const Request& request) {
       break;
     case RequestOpcode::kConfigureWindow:
       if (auto it = windows_.find(request.window); it != windows_.end()) {
-        // The -1 convention mirrors Display::ResizeWindow: negative fields
-        // mean "leave alone".
-        if (request.x >= 0) {
+        // Mirrors Server::ConfigureWindow: a position of -1 and a size
+        // below 1 mean "leave alone"; any other position applies, negative
+        // ones included.
+        if (request.x != -1) {
           it->second.x = request.x;
         }
-        if (request.y >= 0) {
+        if (request.y != -1) {
           it->second.y = request.y;
         }
-        if (request.width >= 0) {
+        if (request.width > 0) {
           it->second.width = request.width;
         }
-        if (request.height >= 0) {
+        if (request.height > 0) {
           it->second.height = request.height;
         }
         if (request.border_width >= 0) {
@@ -55,11 +60,8 @@ void SessionJournal::Note(const Request& request) {
       }
       break;
     case RequestOpcode::kRaiseWindow:
-      if (Knows(request.window)) {
-        raise_order_.erase(
-            std::remove(raise_order_.begin(), raise_order_.end(), request.window),
-            raise_order_.end());
-        raise_order_.push_back(request.window);
+      if (auto it = windows_.find(request.window); it != windows_.end()) {
+        it->second.serial = ++next_serial_;
       }
       break;
     case RequestOpcode::kSelectInput:
@@ -75,15 +77,10 @@ void SessionJournal::Note(const Request& request) {
       }
       break;
     case RequestOpcode::kCreateGc:
-      if (gcs_.emplace(request.resource, GcState()).second) {
-        gc_order_.push_back(request.resource);
-      }
+      gcs_.emplace(request.resource, GcState());
       break;
     case RequestOpcode::kFreeGc:
-      if (gcs_.erase(request.gc) != 0) {
-        gc_order_.erase(std::remove(gc_order_.begin(), gc_order_.end(), request.gc),
-                        gc_order_.end());
-      }
+      gcs_.erase(request.gc);
       break;
     case RequestOpcode::kChangeGc:
       if (auto it = gcs_.find(request.gc); it != gcs_.end()) {
@@ -114,14 +111,19 @@ void SessionJournal::Note(const Request& request) {
       break;
     case RequestOpcode::kReparentWindow:
       if (auto it = windows_.find(request.window); it != windows_.end()) {
+        // The server refuses to move a window under its own subtree; so does
+        // the journal, whose children links must stay a forest.
+        if (Descends(request.resource, request.window)) {
+          break;
+        }
+        UnlinkChild(it->second);
         it->second.parent = request.resource;
         it->second.x = request.x;
         it->second.y = request.y;
-        // A reparent can point at a window created *after* this one, which
-        // would break window_order_'s parents-before-children guarantee at
-        // replay time; restore it topologically (stable, so unrelated
-        // windows keep creation order).
-        RestoreTopologicalOrder();
+        // Like a raise, a reparent stacks the window on top of its new
+        // siblings.
+        it->second.serial = ++next_serial_;
+        LinkChild(request.window, it->second);
       }
       break;
     // Pixels and transient traffic: regenerated or irrelevant after replay.
@@ -139,63 +141,79 @@ void SessionJournal::Note(const Request& request) {
   }
 }
 
-void SessionJournal::RestoreTopologicalOrder() {
-  // Stable Kahn pass: keep appending (in current order) every window whose
-  // parent is either foreign to the journal or already placed.  A cycle is
-  // impossible server-side (reparent rejects it), but if a malformed journal
-  // ever produced one the remainder is appended as-is rather than looping.
-  std::vector<WindowId> ordered;
-  ordered.reserve(window_order_.size());
-  std::map<WindowId, bool> placed;
-  std::vector<WindowId> pending = window_order_;
-  while (!pending.empty()) {
-    size_t before = ordered.size();
-    std::vector<WindowId> next;
-    for (WindowId id : pending) {
-      auto it = windows_.find(id);
-      WindowId parent = it == windows_.end() ? kNone : it->second.parent;
-      if (!Knows(parent) || placed[parent]) {
-        ordered.push_back(id);
-        placed[id] = true;
-      } else {
-        next.push_back(id);
-      }
+bool SessionJournal::Descends(WindowId window, WindowId ancestor) const {
+  // Bounded: windows created under ids that did not exist yet can leave a
+  // cycle of parent ids, which must not hang the walk.
+  size_t steps = 0;
+  for (auto it = windows_.find(window); steps <= windows_.size(); ++steps) {
+    if (window == ancestor) {
+      return true;
     }
-    if (ordered.size() == before) {
-      ordered.insert(ordered.end(), next.begin(), next.end());
-      break;
+    if (it == windows_.end()) {
+      return false;
     }
-    pending = std::move(next);
+    window = it->second.parent;
+    it = windows_.find(window);
   }
-  window_order_ = std::move(ordered);
+  return false;
+}
+
+void SessionJournal::LinkChild(WindowId id, WindowState& state) {
+  auto parent = windows_.find(state.parent);
+  if (parent == windows_.end()) {
+    return;
+  }
+  state.prev_sibling = kNone;
+  state.next_sibling = parent->second.first_child;
+  if (state.next_sibling != kNone) {
+    windows_.at(state.next_sibling).prev_sibling = id;
+  }
+  parent->second.first_child = id;
+  state.linked = true;
+}
+
+void SessionJournal::UnlinkChild(WindowState& state) {
+  if (!state.linked) {
+    return;
+  }
+  if (state.prev_sibling != kNone) {
+    windows_.at(state.prev_sibling).next_sibling = state.next_sibling;
+  } else {
+    windows_.at(state.parent).first_child = state.next_sibling;
+  }
+  if (state.next_sibling != kNone) {
+    windows_.at(state.next_sibling).prev_sibling = state.prev_sibling;
+  }
+  state.prev_sibling = kNone;
+  state.next_sibling = kNone;
+  state.linked = false;
 }
 
 void SessionJournal::EraseWindowTree(WindowId window) {
-  if (!Knows(window)) {
+  auto it = windows_.find(window);
+  if (it == windows_.end()) {
     return;
   }
-  // Children first (the server destroys subtrees; keep the journal's view in
-  // step).  window_order_ guarantees parents precede children, so one reverse
-  // sweep collecting descendants terminates.
+  // Only the subtree's root hangs off a surviving window; everything below
+  // it goes, links and all.
+  UnlinkChild(it->second);
   std::vector<WindowId> doomed{window};
   for (size_t i = 0; i < doomed.size(); ++i) {
-    for (const auto& [id, state] : windows_) {
-      if (state.parent == doomed[i] && std::find(doomed.begin(), doomed.end(), id) == doomed.end()) {
-        doomed.push_back(id);
-      }
+    for (WindowId child = windows_.at(doomed[i]).first_child; child != kNone;
+         child = windows_.at(child).next_sibling) {
+      doomed.push_back(child);
     }
   }
   for (WindowId id : doomed) {
     windows_.erase(id);
-    window_order_.erase(std::remove(window_order_.begin(), window_order_.end(), id),
-                        window_order_.end());
-    raise_order_.erase(std::remove(raise_order_.begin(), raise_order_.end(), id),
-                       raise_order_.end());
-    for (auto it = properties_.begin(); it != properties_.end();) {
-      it = it->first.first == id ? properties_.erase(it) : std::next(it);
+    auto first = properties_.lower_bound({id, 0});
+    auto last = first;
+    while (last != properties_.end() && last->first.first == id) {
+      ++last;
     }
-    for (auto it = selections_.begin(); it != selections_.end();) {
-      it = it->second == id ? selections_.erase(it) : std::next(it);
+    properties_.erase(first, last);
+    for (auto sel = selections_.begin(); sel != selections_.end();) {
+      sel = sel->second == id ? selections_.erase(sel) : std::next(sel);
     }
     if (has_focus_ && focus_ == id) {
       has_focus_ = false;
@@ -217,9 +235,34 @@ std::vector<Request> SessionJournal::ReplayBatch(WindowId root) const {
     batch.push_back(std::move(mode));
   }
 
-  // 1. Windows, creation order (parents first), each followed by the
-  //    attributes that must be set before the map generates an expose.
-  for (WindowId id : window_order_) {
+  // 1. Windows in pre-order -- parents before children, siblings bottom to
+  //    top by serial -- so each create lands where the live server stacks
+  //    it.  Each is followed by the attributes that must be set before the
+  //    map generates an expose.
+  auto above = [this](WindowId a, WindowId b) {
+    return windows_.at(a).serial > windows_.at(b).serial;
+  };
+  std::vector<WindowId> order;
+  order.reserve(windows_.size());
+  std::vector<WindowId> pending;  // Popped from the back: lowest serial first.
+  for (const auto& [id, state] : windows_) {
+    if (!state.linked) {
+      pending.push_back(id);
+    }
+  }
+  std::sort(pending.begin(), pending.end(), above);
+  while (!pending.empty()) {
+    WindowId id = pending.back();
+    pending.pop_back();
+    order.push_back(id);
+    const size_t mark = pending.size();
+    for (WindowId child = windows_.at(id).first_child; child != kNone;
+         child = windows_.at(child).next_sibling) {
+      pending.push_back(child);
+    }
+    std::sort(pending.begin() + static_cast<std::ptrdiff_t>(mark), pending.end(), above);
+  }
+  for (WindowId id : order) {
     const WindowState& state = windows_.at(id);
     Request create;
     create.op = RequestOpcode::kCreateWindow;
@@ -246,8 +289,9 @@ std::vector<Request> SessionJournal::ReplayBatch(WindowId root) const {
       batch.push_back(std::move(select));
     }
   }
-  // 2. Maps, creation order, then the explicit raises on top.
-  for (WindowId id : window_order_) {
+  // 2. Maps, same order: a parent maps before its children, so every
+  //    viewable window gets its expose.
+  for (WindowId id : order) {
     if (windows_.at(id).mapped) {
       Request map;
       map.op = RequestOpcode::kMapWindow;
@@ -255,15 +299,8 @@ std::vector<Request> SessionJournal::ReplayBatch(WindowId root) const {
       batch.push_back(std::move(map));
     }
   }
-  for (WindowId id : raise_order_) {
-    Request raise;
-    raise.op = RequestOpcode::kRaiseWindow;
-    raise.window = id;
-    batch.push_back(std::move(raise));
-  }
   // 3. GCs and their accumulated values.
-  for (GcId id : gc_order_) {
-    const GcState& state = gcs_.at(id);
+  for (const auto& [id, state] : gcs_) {
     Request create;
     create.op = RequestOpcode::kCreateGc;
     create.resource = id;
@@ -311,10 +348,8 @@ std::vector<Request> SessionJournal::ReplayBatch(WindowId root) const {
 
 void SessionJournal::Clear() {
   windows_.clear();
-  window_order_.clear();
-  raise_order_.clear();
+  next_serial_ = 0;
   gcs_.clear();
-  gc_order_.clear();
   properties_.clear();
   selections_.clear();
   has_focus_ = false;

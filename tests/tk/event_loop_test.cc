@@ -1,6 +1,9 @@
 // Event loop tests (Section 3.2): timers, idle handlers, update, and the
 // resource cache (Section 3.3).
 
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "src/tk/resource_cache.h"
@@ -25,6 +28,22 @@ TEST_F(EventLoopTest, AfterOrdering) {
   Ok("after 10 {lappend log second}");
   Ok("after 100");  // Generous margin for loaded parallel test runs.
   EXPECT_EQ(Ok("set log"), "first second");
+}
+
+TEST_F(EventLoopTest, DueTimersFireInDueTimeOrder) {
+  // Timers that have all come due by the time the loop looks fire earliest
+  // due first, as in Tk, not in the order they were scheduled; timers due
+  // at the same moment fire in the order they were scheduled.
+  Ok("after 30 {lappend order a30}; after 10 {lappend order b10}; "
+     "after 20 {lappend order c20}");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Ok("update");
+  EXPECT_EQ(Ok("set order"), "b10 c20 a30");
+  int fired = 0;
+  app_->CreateTimerMs(0, [&fired]() { fired = fired * 10 + 1; });
+  app_->CreateTimerMs(0, [&fired]() { fired = fired * 10 + 2; });
+  Pump();
+  EXPECT_EQ(fired, 12);
 }
 
 TEST_F(EventLoopTest, TimersViaCApi) {

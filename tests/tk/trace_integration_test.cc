@@ -128,9 +128,18 @@ TEST_F(TraceIntegrationTest, InfoConnectionReportsLifecycleState) {
   // A live direct-transport app is connected and has never reconnected.
   EXPECT_NE(info.find("state connected"), std::string::npos) << info;
   EXPECT_EQ(Ok("set s [info connection]; lindex $s [expr [lsearch $s reconnects]+1]"), "0");
-  // The journal mirrors the widget tree: at least the root + .b windows.
-  EXPECT_NE(Ok("set s [info connection]; lindex $s [expr [lsearch $s journal-windows]+1]"),
-            "0");
+  // Only a transport that can reconnect keeps a session journal.
+  const std::string journal_windows =
+      "set s [info connection]; lindex $s [expr [lsearch $s journal-windows]+1]";
+  if (app_->display().transport_kind() == xsim::wire::TransportKind::kDirect) {
+    EXPECT_EQ(Ok(journal_windows), "0");
+  }
+  // On the wire the journal mirrors the widget tree: at least the root and
+  // .b windows.
+  App wired(server_, "wired", xsim::wire::TransportKind::kWire);
+  ASSERT_EQ(wired.interp().Eval("button .b -text hi; update; " + journal_windows),
+            tcl::Code::kOk);
+  EXPECT_GE(std::stoi(wired.interp().result()), 2) << wired.interp().result();
 }
 
 TEST_F(TraceIntegrationTest, EventLoopStatsCountDispatchesAndIdleWork) {

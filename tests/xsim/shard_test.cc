@@ -3,8 +3,8 @@
 // window subtrees never block on each other's shard lock), the cross-shard
 // reparent's canonical two-lock acquisition (run under TSan, this is the
 // lock-order-inversion regression test), and the ReparentWindow request
-// itself -- including the session journal's topological re-sort, which a
-// reparent to a later-created parent would otherwise break at replay time.
+// itself.  The session journal's handling of reparents is tested in
+// session_journal_test.cc.
 
 #include <chrono>
 #include <thread>
@@ -14,7 +14,6 @@
 
 #include "src/xsim/request.h"
 #include "src/xsim/server.h"
-#include "src/xsim/session_journal.h"
 #include "src/xsim/shard.h"
 
 namespace xsim {
@@ -207,34 +206,6 @@ TEST_F(ShardClassifyTest, ReparentMovesSubtreeAndRejectsCycles) {
   // Reparenting under the root makes a1 a top-level window.
   EXPECT_TRUE(server_.ReparentWindow(client_, a1_, server_.root(), 1, 2));
   EXPECT_EQ(server_.WindowParent(a1_), server_.root());
-}
-
-// --- Session journal replay after reparent -----------------------------------
-
-TEST(ShardTest, JournalReplayOrdersReparentedWindowAfterLaterParent) {
-  // Create P1, then W under P1, then P2, then reparent W under P2.  The
-  // journal's creation order (P1, W, P2) would replay W's create before its
-  // recorded parent P2 exists; the topological re-sort must fix that.
-  const WindowId p1 = 0x201, w = 0x202, p2 = 0x203;
-  SessionJournal journal;
-  Server replay_target;
-  const WindowId root = replay_target.root();
-
-  journal.Note(Make(RequestOpcode::kCreateWindow, root, p1));
-  journal.Note(Make(RequestOpcode::kCreateWindow, p1, w));
-  journal.Note(Make(RequestOpcode::kCreateWindow, root, p2));
-  journal.Note(Make(RequestOpcode::kReparentWindow, w, p2, 3, 4));
-
-  ClientId client = replay_target.RegisterClient("replayer");
-  std::vector<Request> batch = journal.ReplayBatch(root);
-  size_t applied = replay_target.ApplyBatch(client, batch);
-  EXPECT_EQ(applied, batch.size());  // No create referenced a missing parent.
-  EXPECT_TRUE(replay_target.WindowExists(w));
-  EXPECT_EQ(replay_target.WindowParent(w), p2);
-  auto geometry = replay_target.WindowGeometry(w);
-  ASSERT_TRUE(geometry.has_value());
-  EXPECT_EQ(geometry->x, 3);
-  EXPECT_EQ(geometry->y, 4);
 }
 
 }  // namespace
